@@ -80,6 +80,14 @@ impl Fnv64 {
     }
 }
 
+/// One-shot FNV-1a 64-bit hash of `bytes`: the checksum of the durable
+/// store framing and the configuration fingerprints.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
 /// Hashes every key output of one drive: per-node latency and queue-wait
 /// samples (in arrival order), per-path latency samples, subscription
 /// drop statistics, CPU/GPU device statistics, power, and the

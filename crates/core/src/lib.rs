@@ -19,6 +19,8 @@
 //! * [`findings`] — quantitative checks of the paper's Findings 1–5.
 //! * [`metrics`] — scalar per-run facts (tail latency, deadline factor,
 //!   drop rate) shared by the sweep aggregator and the search objective.
+//! * [`durable`] — the verified on-disk entry framing, crash-safe
+//!   write path, recovery scan and quarantine every durable store uses.
 //! * [`ckptstore`] — the crash-safe on-disk checkpoint store: persist,
 //!   verify, quarantine and resume drives across processes.
 //! * [`fault`] — the deterministic fault plan: seeded crashes, stalls,
@@ -45,6 +47,7 @@
 pub mod calib;
 pub mod ckptstore;
 pub mod determinism;
+pub mod durable;
 pub mod experiments;
 pub mod fault;
 pub mod findings;

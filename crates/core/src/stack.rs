@@ -7,6 +7,7 @@
 //! are derived from.
 
 use crate::calib::Calibration;
+use crate::determinism::fnv64;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::msg::Msg;
 use crate::nodes::*;
@@ -1719,15 +1720,6 @@ impl CheckpointHeader {
             traced,
         })
     }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Fingerprint of the run configuration, over the canonical debug

@@ -23,10 +23,12 @@
 //!   the replay path that re-partitions a finished run's trace into
 //!   the *identical* event stream a live run produced.
 //! * [`store`] — the content-addressed result store (fingerprint →
-//!   response body + event payloads), with an optional crash-safe
-//!   spool directory using the outbox pattern (write to `pending/`,
-//!   fsync, atomic rename): identical requests are answered from the
-//!   store byte-for-byte without re-simulation, across restarts.
+//!   response body + event payloads), with an optional spool directory
+//!   on the checkpoint store's verified framing ([`av_core::durable`]:
+//!   checksummed entries, `pending/` outbox, fsync, atomic rename,
+//!   quarantine on open): identical requests are answered from the
+//!   store byte-for-byte without re-simulation, across restarts, and a
+//!   damaged entry is quarantined and recomputed, never served.
 //! * [`pool`] — the bounded work queue: backpressure is an explicit
 //!   `429`-style reject, shutdown drains queued sessions gracefully.
 //! * [`server`] — the TCP front-end tying it together, plus the

@@ -116,6 +116,9 @@ impl Server {
             Some(dir) => ResultStore::with_spool(dir)?,
             None => ResultStore::in_memory(),
         };
+        // Like the checkpoint store's below: loud but non-fatal, a
+        // quarantined entry only costs its request one cold run.
+        eprint!("{}", store.recovery().render());
         let ckpt = match &config.ckpt_dir {
             Some(dir) => {
                 let (ckpt, recovery) = CkptStore::open(dir)?;

@@ -1,4 +1,4 @@
-//! The content-addressed result store with a crash-safe outbox spool.
+//! The content-addressed result store with a verified durable spool.
 //!
 //! Finished sessions are stored under their request fingerprint: the
 //! exact response body bytes plus every streamed event payload, in
@@ -6,21 +6,22 @@
 //! byte-for-byte — no re-simulation — which is safe precisely because
 //! bodies and event payloads are pure functions of the request.
 //!
-//! Persistence uses the outbox pattern. An entry is first written to
-//! `<spool>/pending/<fingerprint>.entry`, fsynced, then atomically
-//! renamed into `<spool>/`: a crash can leave at most a `pending/`
-//! leftover, which the next start sweeps away, so the visible spool
-//! only ever contains complete entries (exactly-once delivery into the
-//! store). Entries are reloaded verbatim on start, so the
-//! byte-identity guarantee holds across restarts.
+//! The spool is this fingerprint map over the checkpoint store's
+//! verified framing ([`av_core::durable`]) with magic `AVSPOOL1` and key
+//! `(fingerprint, 0)`. The payload is the fingerprint, the event count,
+//! then each event and the body as u64-length-prefixed UTF-8. Entries
+//! failing the checksum or the payload check (full decode, fingerprint
+//! equal to the key) are quarantined, never loaded or deleted: their
+//! requests just run cold again.
 
-use crate::protocol::hex64;
-use av_trace::json;
+use av_core::durable::{DurableStore, Format, Key, RecoveryReport, StoreFault};
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+/// The spool's entry format.
+const FORMAT: Format = Format { magic: *b"AVSPOOL1", version: 1, extension: "entry" };
 
 /// One finished session, addressed by its request fingerprint.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,45 +34,85 @@ pub struct ResultEntry {
     pub events: Vec<String>,
 }
 
+impl ResultEntry {
+    fn key(&self) -> Key {
+        (self.fingerprint, 0)
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
+        buf.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
+        for text in self.events.iter().chain([&self.body]) {
+            buf.extend_from_slice(&(text.len() as u64).to_le_bytes());
+            buf.extend_from_slice(text.as_bytes());
+        }
+        buf
+    }
+
+    /// The spool's payload check: the payload decodes in full and
+    /// carries the fingerprint the entry is keyed by.
+    fn decode(key: Key, payload: &[u8]) -> Result<ResultEntry, String> {
+        let mut rest = payload;
+        let fingerprint = take_u64(&mut rest)?;
+        if (fingerprint, 0) != key {
+            return Err("key mismatch between spool header and entry fingerprint".to_string());
+        }
+        let count = take_u64(&mut rest)?;
+        let events = (0..count).map(|_| take_str(&mut rest)).collect::<Result<_, _>>()?;
+        let body = take_str(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(format!("entry payload has {} trailing bytes", rest.len()));
+        }
+        Ok(ResultEntry { fingerprint, body, events })
+    }
+}
+
+fn take<'a>(rest: &mut &'a [u8], len: u64) -> Result<&'a [u8], String> {
+    let split = usize::try_from(len).ok().and_then(|n| rest.split_at_checked(n));
+    let (head, tail) = split.ok_or("entry payload truncated")?;
+    *rest = tail;
+    Ok(head)
+}
+
+fn take_u64(rest: &mut &[u8]) -> Result<u64, String> {
+    Ok(u64::from_le_bytes(take(rest, 8)?.try_into().expect("took 8 bytes")))
+}
+
+fn take_str(rest: &mut &[u8]) -> Result<String, String> {
+    let len = take_u64(rest)?;
+    String::from_utf8(take(rest, len)?.to_vec()).map_err(|_| "entry text is not UTF-8".to_string())
+}
+
 /// Fingerprint-keyed store of finished sessions, optionally backed by a
 /// spool directory.
+#[derive(Default)]
 pub struct ResultStore {
     entries: Mutex<HashMap<u64, Arc<ResultEntry>>>,
-    spool: Option<PathBuf>,
+    spool: Option<DurableStore>,
+    recovery: RecoveryReport,
 }
 
 impl ResultStore {
     /// A purely in-memory store (no persistence).
     pub fn in_memory() -> ResultStore {
-        ResultStore { entries: Mutex::new(HashMap::new()), spool: None }
+        ResultStore::default()
     }
 
-    /// Opens (or creates) a spooled store at `dir`, sweeping incomplete
-    /// `pending/` leftovers and reloading every completed entry
-    /// verbatim.
+    /// Opens (or creates) a spooled store at `dir`, running the
+    /// framing's recovery scan: every entry that verifies is reloaded
+    /// verbatim, everything else is quarantined and listed in
+    /// [`ResultStore::recovery`].
     pub fn with_spool(dir: &Path) -> io::Result<ResultStore> {
-        fs::create_dir_all(dir.join("pending"))?;
-        for leftover in fs::read_dir(dir.join("pending"))? {
-            let path = leftover?.path();
-            if path.is_file() {
-                fs::remove_file(&path)?;
-            }
-        }
-        let mut entries = HashMap::new();
-        let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "entry"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            // A file that does not parse is treated as absent rather
-            // than fatal — the request it answered just runs cold again.
-            if let Some(entry) = load_entry(&path) {
-                entries.insert(entry.fingerprint, Arc::new(entry));
-            }
-        }
-        Ok(ResultStore { entries: Mutex::new(entries), spool: Some(dir.to_path_buf()) })
+        let (spool, loaded, recovery) = DurableStore::open(dir, FORMAT, ResultEntry::decode)?;
+        let entries = loaded.into_iter().map(|e| (e.fingerprint, Arc::new(e))).collect();
+        Ok(ResultStore { entries: Mutex::new(entries), spool: Some(spool), recovery })
+    }
+
+    /// What the spool's recovery scan found on open (empty for an
+    /// in-memory store).
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     /// Entries currently held.
@@ -101,71 +142,29 @@ impl ResultStore {
                 return Ok(Arc::clone(existing));
             }
         }
-        if let Some(dir) = &self.spool {
-            persist(dir, &entry)?;
+        if let Some(spool) = &self.spool {
+            spool.put(entry.key(), &entry.encode())?;
         }
         let arc = Arc::new(entry);
         let mut map = self.entries.lock().unwrap();
         Ok(Arc::clone(map.entry(arc.fingerprint).or_insert(arc)))
     }
-}
 
-fn entry_name(fingerprint: u64) -> String {
-    format!("{}.entry", hex64(fingerprint))
-}
-
-/// Outbox write: pending file, fsync, atomic rename into the spool.
-fn persist(dir: &Path, entry: &ResultEntry) -> io::Result<()> {
-    let pending = dir.join("pending").join(entry_name(entry.fingerprint));
-    {
-        let mut f = File::create(&pending)?;
-        writeln!(
-            f,
-            "{{\"fingerprint\":\"{}\",\"events\":{}}}",
-            hex64(entry.fingerprint),
-            entry.events.len()
-        )?;
-        for payload in &entry.events {
-            writeln!(f, "{payload}")?;
-        }
-        writeln!(f, "{}", entry.body)?;
-        f.sync_all()?;
+    /// Simulates a writer dying mid-[`put`](ResultStore::put) according
+    /// to `fault`. Nothing is held in memory — whatever landed in the
+    /// spool is what the next [`ResultStore::with_spool`] finds. A no-op
+    /// for an in-memory store.
+    pub fn put_with_fault(&self, entry: &ResultEntry, fault: StoreFault) -> io::Result<()> {
+        let spool = self.spool.as_ref();
+        spool.map_or(Ok(()), |spool| spool.put_with_fault(entry.key(), &entry.encode(), fault))
     }
-    fs::rename(&pending, dir.join(entry_name(entry.fingerprint)))?;
-    // Make the rename itself durable; best-effort (not all platforms
-    // allow fsyncing a directory handle).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// Reads one spooled entry: a header line, `events` payload lines, then
-/// the body line — all payload/body bytes taken verbatim.
-fn load_entry(path: &Path) -> Option<ResultEntry> {
-    let text = fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    let header = json::parse(lines.next()?).ok()?;
-    let fingerprint = parse_hex64(header.get("fingerprint")?.as_str()?)?;
-    let count = header.get("events")?.as_u64()? as usize;
-    let mut events = Vec::with_capacity(count);
-    for _ in 0..count {
-        events.push(lines.next()?.to_string());
-    }
-    let body = lines.next()?.to_string();
-    if lines.next().is_some() {
-        return None;
-    }
-    Some(ResultEntry { fingerprint, body, events })
-}
-
-fn parse_hex64(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -201,21 +200,69 @@ mod tests {
 
         let reopened = ResultStore::with_spool(&dir).unwrap();
         assert_eq!(reopened.len(), 1);
+        assert!(reopened.recovery().is_clean());
         let got = reopened.get(entry().fingerprint).expect("reloaded");
         assert_eq!(got.body, entry().body);
         assert_eq!(got.events, entry().events);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every file the spool's recovery scan set aside, with the text of
+    /// its reason sidecar; asserts the quarantined bytes are still there.
+    fn quarantine(store: &ResultStore, dir: &Path) -> Vec<(String, String)> {
+        let set_aside = dir.join("quarantine");
+        let mut found: Vec<(String, String)> = (store.recovery().quarantined.iter())
+            .map(|q| {
+                assert!(set_aside.join(&q.file).exists(), "quarantined bytes kept");
+                let sidecar = set_aside.join(format!("{}.reason", q.file));
+                let reason = fs::read_to_string(sidecar).expect("reason sidecar");
+                assert_eq!(reason.trim_end(), q.reason);
+                (q.file.clone(), reason)
+            })
+            .collect();
+        found.sort();
+        found
+    }
+
     #[test]
-    fn pending_leftovers_are_swept_and_corrupt_entries_skipped() {
-        let dir = tmpdir("sweep");
+    fn pending_leftovers_and_malformed_entries_are_quarantined_not_deleted() {
+        let dir = tmpdir("quarantine");
         fs::create_dir_all(dir.join("pending")).unwrap();
         fs::write(dir.join("pending").join("0xdead.entry"), "half-written").unwrap();
-        fs::write(dir.join("0x0bad.entry"), "not a header\n").unwrap();
+        // What an earlier build's line-based spool wrote.
+        let legacy = "{\"fingerprint\":\"0x0000000000000bad\",\"events\":0}\n{\"body\":1}\n";
+        fs::write(dir.join("0x0000000000000bad.entry"), legacy).unwrap();
         let store = ResultStore::with_spool(&dir).unwrap();
-        assert_eq!(store.len(), 0, "neither leftover nor corrupt entry loads");
-        assert!(!dir.join("pending").join("0xdead.entry").exists(), "leftover swept");
+        assert_eq!(store.len(), 0, "neither leftover nor malformed entry loads");
+
+        let set_aside = quarantine(&store, &dir);
+        let names: Vec<&str> = set_aside.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["0x0000000000000bad.entry", "0xdead.entry"]);
+        assert!(set_aside[0].1.contains("bad magic"), "{}", set_aside[0].1);
+        assert!(set_aside[1].1.contains("interrupted write"), "{}", set_aside[1].1);
+        let kept = fs::read(dir.join("quarantine").join("0x0000000000000bad.entry")).unwrap();
+        assert_eq!(kept, legacy.as_bytes(), "quarantined bytes are kept verbatim");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_body_byte_misses_and_quarantines_on_reopen() {
+        let dir = tmpdir("flip");
+        ResultStore::with_spool(&dir).unwrap().put(entry()).unwrap();
+        let path = dir.join(FORMAT.file_name(entry().key()));
+        let mut bytes = fs::read(&path).unwrap();
+        // The body is the payload's last field, just before the 8-byte
+        // checksum footer.
+        let at = bytes.len() - 8 - 2;
+        bytes[at] ^= 0x20;
+        fs::write(&path, bytes).unwrap();
+
+        let reopened = ResultStore::with_spool(&dir).unwrap();
+        assert!(reopened.get(entry().fingerprint).is_none(), "corrupt body must not be served");
+        assert!(!path.exists());
+        let set_aside = quarantine(&reopened, &dir);
+        assert_eq!(set_aside.len(), 1);
+        assert!(set_aside[0].1.contains("checksum mismatch"), "{}", set_aside[0].1);
         let _ = fs::remove_dir_all(&dir);
     }
 

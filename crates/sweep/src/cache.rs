@@ -11,7 +11,7 @@
 //! own and cannot confuse two configurations that differ in any field.
 
 use av_core::ckptstore::CkptStore;
-use av_core::determinism::run_hash;
+use av_core::determinism::{fnv64, run_hash};
 use av_core::stack::{drive_fingerprint, resume_drive, RunConfig, RunReport, StackConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,15 +35,6 @@ pub struct EvalCache {
     hits: AtomicUsize,
     misses: AtomicUsize,
     store_hits: AtomicUsize,
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl EvalCache {

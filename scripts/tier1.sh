@@ -17,6 +17,11 @@ cargo test -q --workspace
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench compiles against the public API =="
+# The benchmark package lives outside the workspace; a public-API change
+# that breaks it must fail here, not in the benchmark run.
+cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
+
 echo "== determinism: traced matrix across --jobs 1 vs --jobs 8 =="
 # One shipped-binary invocation covers the whole check: repro itself
 # reruns the traced matrix at each --check-jobs level and exits nonzero
@@ -219,6 +224,31 @@ cmp "$tmp/serve_events1" "$tmp/serve_events2"
 ./target/release/av_client --addr "$serve_addr" --shutdown >/dev/null
 wait "$serve_pid"
 echo "store-served drive byte-identical over the wire"
+
+echo "== scenario service: a corrupted spool entry is quarantined, never served =="
+# With the daemon stopped, flip one byte inside the spooled body (the
+# entry payload's last field, just before the 8-byte checksum footer;
+# 0xff never occurs in UTF-8, so the byte really changes). The restarted
+# daemon's recovery scan must quarantine the entry with a reason, and
+# the repeat must run cold and answer the same bytes as the first run.
+spooled=$(ls "$tmp/serve_spool"/*.entry)
+spooled_size=$(wc -c <"$spooled")
+printf '\xff' | dd of="$spooled" bs=1 seek=$((spooled_size - 10)) count=1 conv=notrunc status=none
+./target/release/serve --port-file "$tmp/serve_port2" --workers 2 \
+    --spool "$tmp/serve_spool" >/dev/null 2>"$tmp/serve_restart.err" &
+serve_pid=$!
+for _ in $(seq 50); do [ -s "$tmp/serve_port2" ] && break; sleep 0.1; done
+serve_addr=$(cat "$tmp/serve_port2")
+./target/release/av_client --addr "$serve_addr" --quiet --request specs/serve_drive.json \
+    --out "$tmp/serve_body3" --events "$tmp/serve_events3" >/dev/null 2>"$tmp/serve_stats3"
+./target/release/av_client --addr "$serve_addr" --shutdown >/dev/null
+wait "$serve_pid"
+grep -q 'cached=false' "$tmp/serve_stats3"
+cmp "$tmp/serve_body1" "$tmp/serve_body3"
+cmp "$tmp/serve_events1" "$tmp/serve_events3"
+grep -q 'QUARANTINED' "$tmp/serve_restart.err"
+ls "$tmp/serve_spool/quarantine"/*.reason >/dev/null
+echo "corrupted spool entry quarantined; repeat recomputed byte-identical"
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

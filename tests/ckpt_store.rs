@@ -7,7 +7,7 @@
 //! pure function of the entry set and budget.
 
 use av_core::ckptstore::{CkptStore, StoreFault};
-use av_core::determinism::run_hash;
+use av_core::determinism::{fnv64, run_hash};
 use av_core::fault::FaultPlan;
 use av_core::stack::{
     checkpoint_drive, drive_fingerprint, resume_drive, resume_drive_checkpointed, run_drive,
@@ -199,15 +199,6 @@ fn gc_keeps_newest_barrier_per_fingerprint_and_is_deterministic() {
     assert_eq!(store_a.quarantined().unwrap().len(), 0, "gc never quarantines");
     let _ = fs::remove_dir_all(&dir_a);
     let _ = fs::remove_dir_all(&dir_b);
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Frames `payload` exactly like the store does (magic, version, key,
